@@ -27,6 +27,41 @@ func BenchmarkSlidingQuantile(b *testing.B) {
 	}
 }
 
+// queryBenchData fills a W=100k, eps=1e-3 window (2000 panes) and leaves a
+// partial pane buffered, the geometry of the service's sliding streams.
+var queryBenchData = stream.Zipf(150_000+17, 1.1, 1<<16, 3)
+
+const queryBenchEps, queryBenchW = 1e-3, 100_000
+
+// BenchmarkSlidingQuantileQuery measures one multi-phi query as the
+// service answers it: a Snapshot, then three phis against it.
+func BenchmarkSlidingQuantileQuery(b *testing.B) {
+	q := NewSlidingQuantile(queryBenchEps, queryBenchW, cpusort.QuicksortSorter[float32]{})
+	q.ProcessSlice(queryBenchData)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap := q.Snapshot()
+		for _, phi := range []float64{0.5, 0.9, 0.99} {
+			if _, ok := snap.Quantile(phi); !ok {
+				b.Fatal("empty window")
+			}
+		}
+	}
+}
+
+// BenchmarkSlidingFrequencyEstimate measures one live point-frequency
+// query over the full window.
+func BenchmarkSlidingFrequencyEstimate(b *testing.B) {
+	f := NewSlidingFrequency(queryBenchEps, queryBenchW, cpusort.QuicksortSorter[float32]{})
+	f.ProcessSlice(queryBenchData)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = f.Estimate(queryBenchData[i%len(queryBenchData)])
+	}
+}
+
 func BenchmarkCountEH(b *testing.B) {
 	r := stream.NewRNG(2)
 	bits := make([]bool, 1<<16)

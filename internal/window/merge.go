@@ -26,10 +26,11 @@ import (
 
 // MergeFrequencySnapshots combines two sliding-frequency snapshots from
 // disjoint stream partitions into one whole-window view over their union.
-// The inputs are not mutated and may be used afterwards.
+// The inputs are not mutated and may be used afterwards; each input's
+// memoized full-window view is reused rather than folded again.
 func MergeFrequencySnapshots[T sorter.Value](a, b *FrequencySnapshot[T]) *FrequencySnapshot[T] {
-	binsA, coveredA := mergePaneBins(a.panes, a.partialBins, a.partialCount, a.w)
-	binsB, coveredB := mergePaneBins(b.panes, b.partialBins, b.partialCount, b.w)
+	binsA, coveredA := a.merged(a.w)
+	binsB, coveredB := b.merged(b.w)
 	return &FrequencySnapshot[T]{
 		eps:          math.Max(a.eps, b.eps),
 		w:            a.w + b.w,
@@ -41,10 +42,11 @@ func MergeFrequencySnapshots[T sorter.Value](a, b *FrequencySnapshot[T]) *Freque
 
 // MergeQuantileSnapshots combines two sliding-quantile snapshots from
 // disjoint stream partitions into one whole-window view over their union.
-// The inputs are not mutated and may be used afterwards.
+// The inputs are not mutated and may be used afterwards; each input's
+// memoized full-window view is reused rather than folded again.
 func MergeQuantileSnapshots[T sorter.Value](a, b *QuantileSnapshot[T]) *QuantileSnapshot[T] {
-	ma := mergePaneSummaries(a.panes, a.partial, a.w)
-	mb := mergePaneSummaries(b.panes, b.partial, b.w)
+	ma := a.merged(a.w)
+	mb := b.merged(b.w)
 	merged := &QuantileSnapshot[T]{
 		eps:   math.Max(a.eps, b.eps),
 		w:     a.w + b.w,

@@ -2,6 +2,7 @@ package window
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"gpustream/internal/pipeline"
@@ -132,23 +133,29 @@ func (q *SlidingQuantile[T]) sealSorted(win []T) {
 }
 
 // mergePaneSummaries merges the newest panes covering span elements with an
-// already-summarized partial pane into one queryable summary. All inputs
-// are immutable; summary.Merge allocates fresh output.
+// already-summarized partial pane into one queryable summary. It selects
+// panes newest first until span elements are covered and merges them as a
+// balanced tree (foldTree), so N covered entries over P panes cost
+// O(N*log P) rather than the O(P^2*B) of folding B-entry panes one at a
+// time into a growing accumulator. The GK merge is associative in both rank
+// bounds and keeps operand a first on ties; with the newer half always as
+// operand a the result equals the newest-first linear fold entry for
+// entry. All inputs are immutable; summary.Merge allocates fresh output.
 func mergePaneSummaries[T sorter.Value](panes []*summary.Summary[T], partial *summary.Summary[T], span int) *summary.Summary[T] {
-	acc := partial
+	parts := make([]*summary.Summary[T], 0, len(panes)+1)
 	covered := int64(0)
-	if acc != nil {
-		covered = acc.N
+	if partial != nil {
+		parts = append(parts, partial)
+		covered = partial.N
 	}
 	for i := len(panes) - 1; i >= 0 && covered < int64(span); i-- {
-		if acc == nil {
-			acc = panes[i]
-		} else {
-			acc = summary.Merge(acc, panes[i])
-		}
+		parts = append(parts, panes[i])
 		covered += panes[i].N
 	}
-	return acc
+	if len(parts) == 0 {
+		return nil
+	}
+	return foldTree(parts, summary.Merge[T])
 }
 
 // partialSummaryLocked summarizes a copy of the buffered partial pane.
@@ -162,19 +169,6 @@ func (q *SlidingQuantile[T]) partialSummaryLocked() *summary.Summary[T] {
 	return summary.FromSortedWindow(tmp, q.eps)
 }
 
-// snapshot merges the newest panes covering span elements with the partial
-// pane buffer into one queryable summary. Caller must hold the core lock;
-// the result is immutable and may outlive the locked region.
-func (q *SlidingQuantile[T]) snapshot(span int) *summary.Summary[T] {
-	// Drain in-flight panes so the ring covers the whole emitted prefix and
-	// the sorter is idle for the partial-pane sort.
-	q.core.BarrierLocked()
-	t1 := time.Now()
-	acc := mergePaneSummaries(q.panes, q.partialSummaryLocked(), span)
-	q.core.AddMerge(time.Since(t1), 0)
-	return acc
-}
-
 // Query returns an eps-approximate phi-quantile of the most recent W
 // elements. It panics if nothing has been processed. Safe under concurrent
 // ingestion.
@@ -185,43 +179,47 @@ func (q *SlidingQuantile[T]) Query(phi float64) T {
 // QueryWindow answers the variable-size query over the most recent w
 // elements, w <= W. Rank error is bounded by eps*W (absolute). Safe under
 // concurrent ingestion.
+//
+// Only the pane capture holds the ingest lock; the pane fold runs after
+// it is released, and no query time is charged to Stats.
 func (q *SlidingQuantile[T]) QueryWindow(phi float64, w int) T {
-	if w <= 0 || w > q.w {
-		panic(fmt.Sprintf("window: query window %d out of (0, %d]", w, q.w))
-	}
-	q.core.Lock()
-	s := q.snapshot(w)
-	q.core.Unlock()
-	if s == nil || s.N == 0 {
-		panic("window: quantile query on empty window")
-	}
-	return s.Query(phi)
+	return q.capture().QueryWindow(phi, w)
 }
 
-// WindowSummary exposes the merged snapshot over the most recent w
-// elements, for validation harnesses.
+// WindowSummary exposes the merged summary over the most recent w
+// elements, for validation harnesses. Like QueryWindow it folds the panes
+// outside the ingest lock.
 func (q *SlidingQuantile[T]) WindowSummary(w int) *summary.Summary[T] {
-	q.core.Lock()
-	defer q.core.Unlock()
-	return q.snapshot(w)
+	return q.capture().merged(w)
 }
 
 // QuantileSnapshot is an immutable point-in-time view of a sliding-window
 // quantile estimator. Pane summaries are aliased directly — they are never
-// mutated or recycled — so taking one costs O(partial pane). A
-// QuantileSnapshot is safe for concurrent use and implements pipeline.View.
+// mutated or recycled — so taking one costs O(partial pane). The
+// full-window merged summary is folded in O(N*log P) on the first
+// whole-window query and reused by every later one (each phi of a
+// multi-phi query, and cross-process merges); narrower QueryWindow spans
+// fold their own suffix. A QuantileSnapshot is safe for concurrent use and
+// implements pipeline.View.
 type QuantileSnapshot[T sorter.Value] struct {
 	eps     float64
 	w       int
 	count   int64
 	panes   []*summary.Summary[T] // oldest first
 	partial *summary.Summary[T]   // nil when the pane buffer was empty
+
+	fullOnce sync.Once
+	full     *summary.Summary[T] // merged view over all w; set by fullOnce
 }
 
 // Snapshot returns an immutable view of the current window state. The view
 // answers Quantile (and variable-span QueryWindow) queries and never sees
 // ingestion that happens after this call.
-func (q *SlidingQuantile[T]) Snapshot() pipeline.View[T] {
+func (q *SlidingQuantile[T]) Snapshot() pipeline.View[T] { return q.capture() }
+
+// capture takes the snapshot under the ingest lock: it drains in-flight
+// panes and summarizes the partial pane, but folds nothing.
+func (q *SlidingQuantile[T]) capture() *QuantileSnapshot[T] {
 	q.core.Lock()
 	defer q.core.Unlock()
 	q.core.BarrierLocked()
@@ -266,16 +264,26 @@ func (s *QuantileSnapshot[T]) QueryWindow(phi float64, w int) T {
 	if w <= 0 || w > s.w {
 		panic(fmt.Sprintf("window: query window %d out of (0, %d]", w, s.w))
 	}
-	m := mergePaneSummaries(s.panes, s.partial, w)
+	m := s.merged(w)
 	if m == nil || m.N == 0 {
 		panic("window: quantile query on empty window")
 	}
 	return m.Query(phi)
 }
 
+// merged returns the summary over the most recent w elements, from the
+// memoized full-window view when w is the whole window.
+func (s *QuantileSnapshot[T]) merged(w int) *summary.Summary[T] {
+	if w != s.w {
+		return mergePaneSummaries(s.panes, s.partial, w)
+	}
+	s.fullOnce.Do(func() { s.full = mergePaneSummaries(s.panes, s.partial, s.w) })
+	return s.full
+}
+
 // Quantile implements pipeline.View; ok is false on an empty window.
 func (s *QuantileSnapshot[T]) Quantile(phi float64) (T, bool) {
-	m := mergePaneSummaries(s.panes, s.partial, s.w)
+	m := s.merged(s.w)
 	if m == nil || m.N == 0 {
 		var z T
 		return z, false

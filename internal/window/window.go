@@ -20,9 +20,12 @@
 package window
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"gpustream/internal/histogram"
@@ -214,18 +217,35 @@ func (f *SlidingFrequency[T]) sealSorted(win []T) {
 	}
 }
 
+// foldTree merges parts as a balanced binary tree with the earlier half
+// always as operand a. For an associative merge that keeps operand a first
+// on ties it equals the left fold merge(...merge(parts[0], parts[1])...,
+// parts[n-1]), but it copies each element once per tree level: O(N*log P)
+// for N elements over P parts where the left fold copies its growing
+// accumulator P times. parts must be non-empty.
+func foldTree[S any](parts []S, merge func(a, b S) S) S {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	mid := len(parts) / 2
+	return merge(foldTree(parts[:mid], merge), foldTree(parts[mid:], merge))
+}
+
 // mergePaneBins combines the newest panes covering at least span elements
 // with an already-binned partial pane, returning the merged histogram and
-// the element count it represents. histogram.Merge always writes a fresh
-// output slice, so the inputs are never mutated.
+// the element count it represents. Panes are selected newest first and
+// merged as a balanced tree (foldTree), in O(N*log P); histogram merges are
+// associative, so the result equals a one-pane-at-a-time fold.
+// histogram.Merge always writes a fresh output slice, so the inputs are
+// never mutated.
 func mergePaneBins[T sorter.Value](panes []freqPane[T], partialBins []histogram.Bin[T], partialCount int64, span int) ([]histogram.Bin[T], int64) {
-	bins := partialBins
+	parts := [][]histogram.Bin[T]{partialBins}
 	covered := partialCount
 	for i := len(panes) - 1; i >= 0 && covered < int64(span); i-- {
-		bins = histogram.Merge(bins, panes[i].bins)
+		parts = append(parts, panes[i].bins)
 		covered += panes[i].total
 	}
-	return bins, covered
+	return foldTree(parts, histogram.Merge[T]), covered
 }
 
 // heavyFromBins answers the support-s frequency query over a merged
@@ -242,21 +262,21 @@ func heavyFromBins[T sorter.Value](bins []histogram.Bin[T], covered int64, w int
 			out = append(out, Item[T]{Value: b.Value, Freq: b.Count})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
+	// Values are distinct, so the order is total and any sort agrees.
+	slices.SortFunc(out, func(x, y Item[T]) int {
+		if c := cmp.Compare(y.Freq, x.Freq); c != 0 {
+			return c
 		}
-		return out[i].Value < out[j].Value
+		return cmp.Compare(x.Value, y.Value)
 	})
 	return out
 }
 
-// estimateFromBins scans a merged histogram for v.
+// estimateFromBins binary-searches a value-ascending merged histogram for v.
 func estimateFromBins[T sorter.Value](bins []histogram.Bin[T], v T) int64 {
-	for _, b := range bins {
-		if b.Value == v {
-			return b.Count
-		}
+	i := sort.Search(len(bins), func(i int) bool { return !(bins[i].Value < v) })
+	if i < len(bins) && bins[i].Value == v {
+		return bins[i].Count
 	}
 	return 0
 }
@@ -272,19 +292,6 @@ func (f *SlidingFrequency[T]) partialBinsLocked() []histogram.Bin[T] {
 	return histogram.FromSorted(tmp)
 }
 
-// merged returns the combined histogram over the newest panes covering at
-// least span elements, plus the current partial pane, along with the element
-// count it represents. Caller must hold the core lock.
-func (f *SlidingFrequency[T]) merged(span int) ([]histogram.Bin[T], int64) {
-	// Drain in-flight panes so the ring covers the whole emitted prefix and
-	// the sorter is idle for the partial-pane sort.
-	f.core.BarrierLocked()
-	t1 := time.Now()
-	bins, covered := mergePaneBins(f.panes, f.partialBinsLocked(), int64(f.core.BufferedLocked()), span)
-	f.core.AddMerge(time.Since(t1), 0)
-	return bins, covered
-}
-
 // Query returns the elements whose estimated frequency over the most recent
 // W elements is at least (s - eps) * min(W, N), ordered by decreasing
 // frequency. Safe under concurrent ingestion.
@@ -295,34 +302,26 @@ func (f *SlidingFrequency[T]) Query(s float64) []Item[T] {
 // QueryWindow answers the variable-size query over the most recent w
 // elements, w <= W. Error is bounded by eps*W (absolute, in elements).
 // Safe under concurrent ingestion.
+//
+// Only the pane capture holds the ingest lock; the pane fold runs after it
+// is released, and no query time is charged to Stats.
 func (f *SlidingFrequency[T]) QueryWindow(s float64, w int) []Item[T] {
-	if s < 0 || s > 1 {
-		panic(fmt.Sprintf("window: support %v out of [0, 1]", s))
-	}
-	if w <= 0 || w > f.w {
-		panic(fmt.Sprintf("window: query window %d out of (0, %d]", w, f.w))
-	}
-	f.core.Lock()
-	bins, covered := f.merged(w)
-	f.core.Unlock()
-	return heavyFromBins(bins, covered, w, f.eps, s)
+	return f.capture().QueryWindow(s, w)
 }
 
 // Estimate returns the estimated frequency of v over the most recent W
-// elements. Safe under concurrent ingestion.
-func (f *SlidingFrequency[T]) Estimate(v T) int64 {
-	f.core.Lock()
-	bins, _ := f.merged(f.w)
-	f.core.Unlock()
-	return estimateFromBins(bins, v)
-}
+// elements. Safe under concurrent ingestion; folds outside the ingest lock
+// like QueryWindow.
+func (f *SlidingFrequency[T]) Estimate(v T) int64 { return f.capture().Estimate(v) }
 
 // FrequencySnapshot is an immutable point-in-time view of a sliding-window
 // frequency estimator. It aliases the live pane histograms under the
 // copy-on-write discipline (the ring abandons shared bins to the snapshot
 // instead of recycling them on expiry), so taking one costs O(partial pane).
-// A FrequencySnapshot is safe for concurrent use and implements
-// pipeline.View.
+// The full-window merged histogram is folded in O(N*log P) on the first
+// whole-window query and reused by every later one; narrower QueryWindow
+// spans fold their own suffix. A FrequencySnapshot is safe for concurrent
+// use and implements pipeline.View.
 type FrequencySnapshot[T sorter.Value] struct {
 	eps          float64
 	w            int
@@ -330,21 +329,26 @@ type FrequencySnapshot[T sorter.Value] struct {
 	panes        []freqPane[T] // oldest first; bins shared with the estimator
 	partialBins  []histogram.Bin[T]
 	partialCount int64
+
+	fullOnce    sync.Once
+	fullBins    []histogram.Bin[T] // merged view over all w; set by fullOnce
+	fullCovered int64
 }
 
 // Snapshot returns an immutable view of the current window state. The view
 // answers HeavyHitters/Frequency (and variable-span QueryWindow) queries
 // and never sees ingestion that happens after this call.
-func (f *SlidingFrequency[T]) Snapshot() pipeline.View[T] {
+func (f *SlidingFrequency[T]) Snapshot() pipeline.View[T] { return f.capture() }
+
+// capture takes the snapshot under the ingest lock: it drains in-flight
+// panes, bins the partial pane and marks the ring shared, but folds
+// nothing.
+func (f *SlidingFrequency[T]) capture() *FrequencySnapshot[T] {
 	f.core.Lock()
 	defer f.core.Unlock()
+	// Drain in-flight panes so the ring covers the whole emitted prefix and
+	// the sorter is idle for the partial-pane sort.
 	f.core.BarrierLocked()
-	pbins := f.partialBinsLocked()
-	if pbins != nil {
-		// The scratch-backed histogram copy is reused by later queries;
-		// give the snapshot its own storage.
-		pbins = append([]histogram.Bin[T](nil), pbins...)
-	}
 	for i := range f.panes {
 		f.panes[i].shared = true
 	}
@@ -353,7 +357,7 @@ func (f *SlidingFrequency[T]) Snapshot() pipeline.View[T] {
 		w:            f.w,
 		count:        f.core.CountLocked(),
 		panes:        append([]freqPane[T](nil), f.panes...),
-		partialBins:  pbins,
+		partialBins:  f.partialBinsLocked(),
 		partialCount: int64(f.core.BufferedLocked()),
 	}
 }
@@ -390,14 +394,27 @@ func (s *FrequencySnapshot[T]) QueryWindow(sp float64, w int) []Item[T] {
 	if w <= 0 || w > s.w {
 		panic(fmt.Sprintf("window: query window %d out of (0, %d]", w, s.w))
 	}
-	bins, covered := mergePaneBins(s.panes, s.partialBins, s.partialCount, w)
+	bins, covered := s.merged(w)
 	return heavyFromBins(bins, covered, w, s.eps, sp)
+}
+
+// merged returns the histogram over the most recent w elements and the
+// element count it represents, from the memoized full-window view when w
+// is the whole window.
+func (s *FrequencySnapshot[T]) merged(w int) ([]histogram.Bin[T], int64) {
+	if w != s.w {
+		return mergePaneBins(s.panes, s.partialBins, s.partialCount, w)
+	}
+	s.fullOnce.Do(func() {
+		s.fullBins, s.fullCovered = mergePaneBins(s.panes, s.partialBins, s.partialCount, s.w)
+	})
+	return s.fullBins, s.fullCovered
 }
 
 // Estimate returns the estimated frequency of v over the most recent W
 // elements as of the snapshot.
 func (s *FrequencySnapshot[T]) Estimate(v T) int64 {
-	bins, _ := mergePaneBins(s.panes, s.partialBins, s.partialCount, s.w)
+	bins, _ := s.merged(s.w)
 	return estimateFromBins(bins, v)
 }
 
